@@ -104,7 +104,7 @@ impl Dataset {
     /// and runs acoustic forward modelling for every source.
     ///
     /// Samples are generated on parallel threads (modelling dominates the
-    /// cost).
+    /// cost). A configuration with zero samples gives an empty dataset.
     ///
     /// # Errors
     ///
@@ -112,15 +112,20 @@ impl Dataset {
     pub fn generate(config: &DatasetConfig) -> Result<Self, GeodataError> {
         let generator = FlatLayerGenerator::new(config.grid.nz(), config.grid.nx())?;
         let wavelet = RickerWavelet::new(config.wavelet_hz, config.grid.dt())?;
+        if config.num_samples == 0 {
+            return Ok(Self::default());
+        }
 
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
-            .min(config.num_samples.max(1));
+            .min(config.num_samples);
 
         let mut results: Vec<Option<Result<Sample, GeodataError>>> = Vec::new();
         results.resize_with(config.num_samples, || None);
-        let results_chunks: Vec<_> = results.chunks_mut(config.num_samples.div_ceil(workers.max(1))).collect();
+        let results_chunks: Vec<_> = results
+            .chunks_mut(config.num_samples.div_ceil(workers))
+            .collect();
 
         std::thread::scope(|scope| {
             let mut start = 0usize;
@@ -371,6 +376,12 @@ mod tests {
             let energy: f64 = s.seismic.iter().map(|v| v * v).sum();
             assert!(energy > 0.0, "seismic data has no signal");
         }
+    }
+
+    #[test]
+    fn zero_samples_give_an_empty_dataset() {
+        let ds = Dataset::generate(&tiny_config(0)).unwrap();
+        assert!(ds.is_empty());
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl Grid {
     pub fn courant(&self, max_velocity: f64) -> f64 {
         max_velocity * self.dt / self.dx
     }
-
-    /// Returns a copy with a different step count.
-    pub fn with_nt(&self, nt: usize) -> Self {
-        Self { nt, ..*self }
-    }
-
-    /// Returns a copy with a different time step.
-    pub fn with_dt(&self, dt: f64) -> Self {
-        Self { dt, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -157,10 +147,21 @@ mod tests {
     }
 
     #[test]
-    fn with_modifiers() {
-        let g = Grid::openfwi_default();
-        assert_eq!(g.with_nt(256).nt(), 256);
-        assert_eq!(g.with_dt(0.004).dt(), 0.004);
-        assert_eq!(g.with_nt(256).nx(), 70);
+    fn solver_rejects_a_nan_time_step() {
+        // `Grid::new` refuses NaN steps; the solver's CFL check must too,
+        // even for a grid that skipped that validation.
+        assert!(Grid::new(10, 10, 10.0, f64::NAN, 100).is_err());
+        let grid = Grid {
+            dt: f64::NAN,
+            ..Grid::openfwi_default()
+        };
+        let velocity = qugeo_tensor::Array2::filled(70, 70, 3000.0);
+        let built = crate::Solver::new(
+            &velocity,
+            &grid,
+            crate::SpaceOrder::Order4,
+            crate::SpongeBoundary::default(),
+        );
+        assert!(matches!(built, Err(WavesimError::CflViolation { .. })));
     }
 }

@@ -117,7 +117,7 @@ impl Solver {
     /// * [`WavesimError::InvalidVelocity`] if the model shape disagrees
     ///   with the grid or contains non-positive / non-finite velocities.
     /// * [`WavesimError::CflViolation`] if `max(c)·dt/dx` exceeds the
-    ///   stencil's stability limit.
+    ///   stencil's stability limit or is not a number.
     pub fn new(
         velocity: &Array2,
         grid: &Grid,
@@ -145,7 +145,7 @@ impl Solver {
         }
         let courant = grid.courant(vmax);
         let limit = order.cfl_limit();
-        if courant > limit {
+        if courant.is_nan() || courant > limit {
             return Err(WavesimError::CflViolation {
                 max_velocity: vmax,
                 courant,
@@ -239,8 +239,9 @@ impl Solver {
     /// # Errors
     ///
     /// Returns [`WavesimError::PositionOutOfGrid`] for out-of-grid source
-    /// or receiver positions, or [`WavesimError::EmptySurvey`] if
-    /// `receivers` is empty.
+    /// or receiver positions, [`WavesimError::EmptySurvey`] if
+    /// `receivers` is empty, or [`WavesimError::InvalidWavelet`] if the
+    /// wavelet was sampled at a `dt` other than the grid's.
     pub fn run_shot(
         &self,
         source: (usize, usize),
@@ -265,81 +266,128 @@ impl Solver {
         receivers: &[(usize, usize)],
         snapshot_every: usize,
     ) -> Result<(Array2, Vec<WavefieldSnapshot>), WavesimError> {
+        self.run(
+            source,
+            wavelet,
+            receivers,
+            snapshot_every,
+            RowBody::detect(),
+        )
+    }
+
+    /// [`Solver::run_shot_with_snapshots`] on the portable row body even
+    /// where AVX2 is available, so tests can pin both compilations of the
+    /// kernel to the same bits.
+    #[doc(hidden)]
+    pub fn run_shot_with_snapshots_portable(
+        &self,
+        source: (usize, usize),
+        wavelet: &RickerWavelet,
+        receivers: &[(usize, usize)],
+        snapshot_every: usize,
+    ) -> Result<(Array2, Vec<WavefieldSnapshot>), WavesimError> {
+        self.run(
+            source,
+            wavelet,
+            receivers,
+            snapshot_every,
+            RowBody::Portable,
+        )
+    }
+
+    fn run(
+        &self,
+        source: (usize, usize),
+        wavelet: &RickerWavelet,
+        receivers: &[(usize, usize)],
+        snapshot_every: usize,
+        body: RowBody,
+    ) -> Result<(Array2, Vec<WavefieldSnapshot>), WavesimError> {
         if receivers.is_empty() {
             return Err(WavesimError::EmptySurvey);
+        }
+        if wavelet.dt() != self.grid.dt() {
+            return Err(WavesimError::InvalidWavelet {
+                reason: format!(
+                    "wavelet sampled at dt {} but the grid steps dt {}",
+                    wavelet.dt(),
+                    self.grid.dt()
+                ),
+            });
         }
         self.check_pos(source.0, source.1)?;
         for &(ix, iz) in receivers {
             self.check_pos(ix, iz)?;
         }
+        let src_idx = self.padded_index(source);
+        let rec_idx: Vec<usize> = receivers.iter().map(|&r| self.padded_index(r)).collect();
+        Ok(match self.order {
+            SpaceOrder::Order2 => {
+                self.integrate::<1>(body, src_idx, &rec_idx, wavelet, snapshot_every)
+            }
+            SpaceOrder::Order4 => {
+                self.integrate::<2>(body, src_idx, &rec_idx, wavelet, snapshot_every)
+            }
+            SpaceOrder::Order8 => {
+                self.integrate::<4>(body, src_idx, &rec_idx, wavelet, snapshot_every)
+            }
+        })
+    }
+
+    /// Index of interior cell `(ix, iz)` in the padded grid.
+    fn padded_index(&self, (ix, iz): (usize, usize)) -> usize {
+        (iz + self.off_z) * self.nx_pad + (ix + self.off_x)
+    }
+
+    /// The leapfrog time loop for a stencil of half-width `K`.
+    ///
+    /// The buffers hold damped fields: after a step, `p_next` holds
+    /// `d · raw`, and the previous level is damped once more when it is
+    /// read (see [`StepKernel::step`]). Halo cells are never written, so
+    /// they stay zero — which is the free surface on top and the stencil's
+    /// zero padding everywhere else.
+    fn integrate<const K: usize>(
+        &self,
+        body: RowBody,
+        src_idx: usize,
+        rec_idx: &[usize],
+        wavelet: &RickerWavelet,
+        snapshot_every: usize,
+    ) -> (Array2, Vec<WavefieldSnapshot>) {
+        let inv_dx2 = 1.0 / (self.grid.dx() * self.grid.dx());
+        let kernel = StepKernel::<K>::new(self, inv_dx2);
+        // Interior cells are undamped, so adding the source after the
+        // damping multiply gives the same bits as adding it before.
+        debug_assert_eq!(self.damping[src_idx], 1.0);
+        let src_scale = self.vel2dt2[src_idx];
 
         let n = self.nx_pad * self.nz_pad;
         let mut p_prev = vec![0.0; n];
         let mut p_cur = vec![0.0; n];
         let mut p_next = vec![0.0; n];
 
-        let src_idx =
-            (source.1 + self.off_z) * self.nx_pad + (source.0 + self.off_x);
-        let rec_idx: Vec<usize> = receivers
-            .iter()
-            .map(|&(ix, iz)| (iz + self.off_z) * self.nx_pad + (ix + self.off_x))
-            .collect();
-
-        let halo = self.order.half_width();
-        let coeffs = self.order.coefficients();
-        let inv_dx2 = 1.0 / (self.grid.dx() * self.grid.dx());
-
         let nt = self.grid.nt();
-        let mut gather = Array2::zeros(nt, receivers.len());
+        let mut gather = Array2::zeros(nt, rec_idx.len());
         let mut snapshots = Vec::new();
 
         for step in 0..nt {
-            // Laplacian + leapfrog update over the non-halo region.
-            for iz in halo..self.nz_pad - halo {
-                let row = iz * self.nx_pad;
-                for ix in halo..self.nx_pad - halo {
-                    let idx = row + ix;
-                    let centre = p_cur[idx];
-                    let mut lap = 2.0 * coeffs[0] * centre;
-                    for (k, &a) in coeffs.iter().enumerate().skip(1) {
-                        lap += a
-                            * (p_cur[idx - k]
-                                + p_cur[idx + k]
-                                + p_cur[idx - k * self.nx_pad]
-                                + p_cur[idx + k * self.nx_pad]);
-                    }
-                    lap *= inv_dx2;
-                    p_next[idx] =
-                        2.0 * centre - p_prev[idx] + self.vel2dt2[idx] * lap;
-                }
+            match body {
+                RowBody::Portable => kernel.step(&p_prev, &p_cur, &mut p_next),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `RowBody::Avx2` is only constructed by
+                // `RowBody::detect` after `is_x86_feature_detected!("avx2")`
+                // returned true, so the CPU supports every instruction the
+                // wrapper may use.
+                RowBody::Avx2 => unsafe { step_avx2(&kernel, &p_prev, &p_cur, &mut p_next) },
             }
 
             // Source injection (scaled like the velocity term so the
             // update stays dimensionally consistent).
-            p_next[src_idx] += wavelet.sample(step) * self.vel2dt2[src_idx] * inv_dx2;
+            p_next[src_idx] += wavelet.sample(step) * src_scale * inv_dx2;
 
-            // Free surface: pressure pinned to zero across the top halo.
-            for iz in 0..halo {
-                let row = iz * self.nx_pad;
-                for ix in 0..self.nx_pad {
-                    p_next[row + ix] = 0.0;
-                }
-            }
-
-            // Sponge damping on both time levels (Cerjan scheme).
-            for idx in 0..n {
-                let d = self.damping[idx];
-                if d != 1.0 {
-                    p_next[idx] *= d;
-                    p_cur[idx] *= d;
-                }
-            }
-
-            // Record receivers from the freshly computed field.
             for (r, &idx) in rec_idx.iter().enumerate() {
                 gather[(step, r)] = p_next[idx];
             }
-
             if snapshot_every != usize::MAX && snapshot_every > 0 && step % snapshot_every == 0 {
                 snapshots.push(WavefieldSnapshot {
                     step,
@@ -351,15 +399,125 @@ impl Solver {
             std::mem::swap(&mut p_cur, &mut p_next);
         }
 
-        Ok((gather, snapshots))
+        (gather, snapshots)
     }
 
     /// Copies the interior (unpadded) region of a padded field.
     fn interior(&self, field: &[f64]) -> Array2 {
         Array2::from_fn(self.grid.nz(), self.grid.nx(), |iz, ix| {
-            field[(iz + self.off_z) * self.nx_pad + (ix + self.off_x)]
+            field[self.padded_index((ix, iz))]
         })
     }
+}
+
+/// Which compilation of the row body runs the time loop.
+#[derive(Clone, Copy)]
+enum RowBody {
+    /// Compiled for the crate's baseline target.
+    Portable,
+    /// The same body compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl RowBody {
+    /// The widest body this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+}
+
+/// One fused leapfrog step (Laplacian, time update, sponge damping) for a
+/// stencil of half-width `K`, applied a row at a time.
+///
+/// The cell update is
+///
+/// ```text
+/// next = ((2·c − d·prev) + v·lap) · d
+/// ```
+///
+/// with `c` the current field, `d` the Cerjan damping factor and `v` the
+/// cell's `c²·dt²`. The buffers already hold damped fields, so `d·prev`
+/// is the second damping of the older level and `· d` the first of the
+/// new one: the same products, in the same order, as damping both time
+/// levels in a separate pass after the stencil. Every lane performs the
+/// same IEEE operations in the same order and nothing is contracted into
+/// an FMA, so the portable and AVX2 compilations give identical bits.
+struct StepKernel<'a, const K: usize> {
+    /// `2·a₀`: the centre weight, counted once per axis.
+    centre: f64,
+    /// `a₁ … a_K`, applied to the four neighbours at each distance.
+    arms: [f64; K],
+    inv_dx2: f64,
+    nx: usize,
+    vel2dt2: &'a [f64],
+    damping: &'a [f64],
+}
+
+impl<'a, const K: usize> StepKernel<'a, K> {
+    fn new(solver: &'a Solver, inv_dx2: f64) -> Self {
+        let coeffs = solver.order.coefficients();
+        debug_assert_eq!(coeffs.len(), K + 1);
+        Self {
+            centre: 2.0 * coeffs[0],
+            arms: std::array::from_fn(|k| coeffs[k + 1]),
+            inv_dx2,
+            nx: solver.nx_pad,
+            vel2dt2: &solver.vel2dt2,
+            damping: &solver.damping,
+        }
+    }
+
+    /// Writes every non-halo cell of `next` from `prev` and `cur`.
+    ///
+    /// Each row is cut into slices of one length — the centre, the
+    /// neighbours `±k` columns and `±k` rows away, and the per-cell
+    /// inputs — so the inner loop carries no bounds checks and
+    /// vectorises.
+    #[inline(always)]
+    fn step(&self, prev: &[f64], cur: &[f64], next: &mut [f64]) {
+        let nx = self.nx;
+        let w = nx - 2 * K;
+        let nz = next.len() / nx;
+        for iz in K..nz - K {
+            let start = iz * nx + K;
+            let centre = &cur[start..start + w];
+            let west: [&[f64]; K] = std::array::from_fn(|k| &cur[start - 1 - k..][..w]);
+            let east: [&[f64]; K] = std::array::from_fn(|k| &cur[start + 1 + k..][..w]);
+            let north: [&[f64]; K] = std::array::from_fn(|k| &cur[start - (k + 1) * nx..][..w]);
+            let south: [&[f64]; K] = std::array::from_fn(|k| &cur[start + (k + 1) * nx..][..w]);
+            let prev = &prev[start..][..w];
+            let vel = &self.vel2dt2[start..][..w];
+            let damp = &self.damping[start..][..w];
+            let out = &mut next[start..][..w];
+            for i in 0..w {
+                let c = centre[i];
+                let mut lap = self.centre * c;
+                for k in 0..K {
+                    lap += self.arms[k] * (west[k][i] + east[k][i] + north[k][i] + south[k][i]);
+                }
+                lap *= self.inv_dx2;
+                let d = damp[i];
+                out[i] = ((2.0 * c - d * prev[i]) + vel[i] * lap) * d;
+            }
+        }
+    }
+}
+
+/// [`StepKernel::step`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn step_avx2<const K: usize>(
+    kernel: &StepKernel<'_, K>,
+    prev: &[f64],
+    cur: &[f64],
+    next: &mut [f64],
+) {
+    kernel.step(prev, cur, next);
 }
 
 #[cfg(test)]
@@ -418,6 +576,20 @@ mod tests {
         assert!(s.run_shot((25, 1), &w, &[(5, 1)]).is_err());
         assert!(s.run_shot((5, 1), &w, &[(25, 1)]).is_err());
         assert!(s.run_shot((5, 1), &w, &[]).is_err());
+    }
+
+    #[test]
+    fn rejects_wavelet_sampled_at_another_dt() {
+        let vel = homogeneous(20, 20, 2000.0);
+        let grid = Grid::new(20, 20, 10.0, 0.001, 10).unwrap();
+        let s = Solver::new(&vel, &grid, SpaceOrder::Order2, SpongeBoundary::default()).unwrap();
+        let coarse = RickerWavelet::new(15.0, 0.002).unwrap();
+        assert!(matches!(
+            s.run_shot((5, 1), &coarse, &[(10, 1)]),
+            Err(WavesimError::InvalidWavelet { .. })
+        ));
+        let matched = RickerWavelet::new(15.0, grid.dt()).unwrap();
+        assert!(s.run_shot((5, 1), &matched, &[(10, 1)]).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 #   ./scripts/verify.sh bench-smoke  # gradient-engine smoke gate only
 #   ./scripts/verify.sh serve-smoke  # serving-layer smoke gate only
 #   ./scripts/verify.sh compiler-smoke  # structure/bind + pass-pipeline gate only
-#   ./scripts/verify.sh kernel-smoke # SIMD/scalar differential + throughput gate only
+#   ./scripts/verify.sh kernel-smoke # SIMD/scalar + FDTD differential + throughput gate only
 #   ./scripts/verify.sh chaos-smoke  # fault-injection / recovery gate only
 #   ./scripts/verify.sh train-smoke  # data-parallel determinism gate only
 #
@@ -98,7 +98,9 @@ compiler_smoke() {
 
 # Kernel gate: the full-circuit SIMD differential suite run twice — once
 # with QUGEO_SIMD=off (scalar tier vs references) and once with the
-# default runtime dispatch (AVX2/AVX-512 where detected) — then a 1-rep
+# default runtime dispatch (AVX2/AVX-512 where detected) — then the FDTD
+# row kernel's differential suite (dispatched and portable bodies
+# bit-identical to the frozen per-cell reference loop), then a 1-rep
 # kernel_throughput smoke run, whose built-in differential asserts the
 # scalar and SIMD tiers agree to 1e-12 on forward amplitudes, values and
 # gradients. The JSON goes to a scratch path so a smoke run never
@@ -108,6 +110,8 @@ kernel_smoke() {
     QUGEO_SIMD=off cargo test -q --release -p qugeo-qsim --test simd_differential
     echo "==> cargo test --release --test simd_differential (runtime dispatch)"
     cargo test -q --release -p qugeo-qsim --test simd_differential
+    echo "==> cargo test --release --test kernel_differential (FDTD row kernel)"
+    cargo test -q --release -p qugeo-wavesim --test kernel_differential
     echo "==> kernel_throughput --smoke"
     cargo run --release --quiet -p qugeo-bench --bin kernel_throughput -- \
         --smoke --json target/BENCH_kernel.smoke.json
