@@ -77,7 +77,10 @@ impl ScaledDataset {
     /// Returns [`QuGeoError::Config`] if `n > self.len()` — an oversized
     /// train split is a recoverable configuration mistake (e.g. a preset
     /// applied to a smoke-sized dataset), not a programming error.
-    pub fn try_split(&self, n: usize) -> Result<(Vec<ScaledSample>, Vec<ScaledSample>), QuGeoError> {
+    pub fn try_split(
+        &self,
+        n: usize,
+    ) -> Result<(Vec<ScaledSample>, Vec<ScaledSample>), QuGeoError> {
         if n > self.samples.len() {
             return Err(QuGeoError::Config {
                 reason: format!(
@@ -86,21 +89,7 @@ impl ScaledDataset {
                 ),
             });
         }
-        Ok((
-            self.samples[..n].to_vec(),
-            self.samples[n..].to_vec(),
-        ))
-    }
-
-    /// Splits into `(first n, rest)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`; prefer [`ScaledDataset::try_split`],
-    /// which reports that as a [`QuGeoError::Config`] instead.
-    #[deprecated(since = "0.2.0", note = "use `try_split`, which returns a Result instead of panicking")]
-    pub fn split(&self, n: usize) -> (Vec<ScaledSample>, Vec<ScaledSample>) {
-        self.try_split(n).expect("split beyond dataset")
+        Ok((self.samples[..n].to_vec(), self.samples[n..].to_vec()))
     }
 }
 
@@ -213,11 +202,8 @@ pub fn scale_forward_model(
     let mut samples = Vec::with_capacity(dataset.len());
     for s in dataset.iter() {
         let seismic = fw_scale_seismic(s.velocity.map(), layout, config)?;
-        let velocity = resample::nearest2(
-            s.velocity.map(),
-            layout.velocity_side,
-            layout.velocity_side,
-        );
+        let velocity =
+            resample::nearest2(s.velocity.map(), layout.velocity_side, layout.velocity_side);
         samples.push(ScaledSample { seismic, velocity });
     }
     Ok(ScaledDataset {
@@ -256,7 +242,8 @@ impl Default for CnnScalingConfig {
 ///
 /// # Errors
 ///
-/// Returns an error for empty datasets or modelling/network failures.
+/// Returns an error for empty datasets or modelling/network failures,
+/// and [`QuGeoError::Config`] for a gather holding a non-finite value.
 pub fn train_cnn_scaler(
     aux: &Dataset,
     layout: &ScaledLayout,
@@ -281,11 +268,10 @@ pub fn train_cnn_scaler(
     let group_len = layout.group_len();
     let mut inputs: Vec<Array2> = Vec::new();
     let mut targets: Vec<Vec<f64>> = Vec::new();
-    for s in aux.iter() {
+    for (idx, s) in aux.iter().enumerate() {
         let fw = fw_scale_seismic(s.velocity.map(), layout, fw_config)?;
         for (gi, &src) in picks.iter().enumerate() {
-            let gather = s.seismic.slice(src);
-            inputs.push(standardize_gather(&gather));
+            inputs.push(standardize_gather(&s.seismic.slice(src), idx, src)?);
             targets.push(l2_normalized(&fw[gi * group_len..(gi + 1) * group_len]));
         }
     }
@@ -317,14 +303,15 @@ pub fn train_cnn_scaler(
 ///
 /// # Errors
 ///
-/// Returns an error if gather shapes disagree with the compressor.
+/// Returns an error if gather shapes disagree with the compressor, and
+/// [`QuGeoError::Config`] for a gather holding a non-finite value.
 pub fn scale_cnn(
     dataset: &Dataset,
     compressor: &CnnCompressor,
     layout: &ScaledLayout,
 ) -> Result<ScaledDataset, QuGeoError> {
     let mut samples = Vec::with_capacity(dataset.len());
-    for s in dataset.iter() {
+    for (idx, s) in dataset.iter().enumerate() {
         let (num_sources, _, _) = s.seismic.shape();
         if num_sources < layout.num_sources {
             return Err(QuGeoError::Config {
@@ -337,14 +324,11 @@ pub fn scale_cnn(
         let picks = select_source_indices(num_sources, layout.num_sources);
         let mut seismic = Vec::with_capacity(layout.seismic_len());
         for &src in &picks {
-            let gather = standardize_gather(&s.seismic.slice(src));
+            let gather = standardize_gather(&s.seismic.slice(src), idx, src)?;
             seismic.extend(compressor.forward(&gather)?);
         }
-        let velocity = resample::nearest2(
-            s.velocity.map(),
-            layout.velocity_side,
-            layout.velocity_side,
-        );
+        let velocity =
+            resample::nearest2(s.velocity.map(), layout.velocity_side, layout.velocity_side);
         samples.push(ScaledSample { seismic, velocity });
     }
     Ok(ScaledDataset {
@@ -362,10 +346,7 @@ pub fn scale_cnn(
 ///
 /// Returns [`QuGeoError::Config`] if the vector does not match the
 /// layout.
-pub fn scaled_waveform_image(
-    seismic: &[f64],
-    layout: &ScaledLayout,
-) -> Result<Array2, QuGeoError> {
+pub fn scaled_waveform_image(seismic: &[f64], layout: &ScaledLayout) -> Result<Array2, QuGeoError> {
     if seismic.len() != layout.seismic_len() {
         return Err(QuGeoError::Config {
             reason: format!(
@@ -418,10 +399,23 @@ pub fn normalized_target(sample: &ScaledSample) -> Array2 {
 
 /// Z-scores a gather (zero mean, unit variance) — the standard input
 /// normalisation for the CNN compressor.
-fn standardize_gather(gather: &Array2) -> Array2 {
+///
+/// # Errors
+///
+/// Returns [`QuGeoError::Config`] naming the sample and source if the
+/// gather holds a non-finite value, which shows in its mean and
+/// variance; it would otherwise reach the compressor's outputs or
+/// parameters as NaN.
+fn standardize_gather(gather: &Array2, sample: usize, source: usize) -> Result<Array2, QuGeoError> {
     let mean = gather.mean();
-    let sd = gather.variance().sqrt().max(1e-12);
-    gather.map(|v| (v - mean) / sd)
+    let variance = gather.variance();
+    if !(mean.is_finite() && variance.is_finite()) {
+        return Err(QuGeoError::Config {
+            reason: format!("gather of sample {sample}, source {source} has non-finite values"),
+        });
+    }
+    let sd = variance.sqrt().max(1e-12);
+    Ok(gather.map(|v| (v - mean) / sd))
 }
 
 #[cfg(test)]
@@ -527,6 +521,32 @@ mod tests {
     }
 
     #[test]
+    fn cnn_scaling_rejects_non_finite_gathers() {
+        let clean = tiny_dataset(2);
+        let layout = ScaledLayout::paper_default();
+        let mut samples = clean.samples().to_vec();
+        samples[1].seismic[(0, 10, 3)] = f64::NAN;
+        let poisoned = Dataset::from_samples(samples);
+        let cnn_cfg = CnnScalingConfig {
+            epochs: 1,
+            ..CnnScalingConfig::default()
+        };
+
+        let err = train_cnn_scaler(&poisoned, &layout, &fast_fw(), &cnn_cfg).unwrap_err();
+        assert!(
+            matches!(&err, QuGeoError::Config { reason } if reason.contains("sample 1, source 0")),
+            "{err}"
+        );
+        let compressor = train_cnn_scaler(&clean, &layout, &fast_fw(), &cnn_cfg).unwrap();
+        assert!(compressor.params().iter().all(|p| p.is_finite()));
+        let err = scale_cnn(&poisoned, &compressor, &layout).unwrap_err();
+        assert!(
+            matches!(&err, QuGeoError::Config { reason } if reason.contains("sample 1, source 0")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn waveform_image_and_normalisation() {
         let layout = ScaledLayout::paper_default();
         let seismic: Vec<f64> = (0..256).map(|i| i as f64).collect();
@@ -554,10 +574,6 @@ mod tests {
             scaled.try_split(4),
             Err(QuGeoError::Config { .. })
         ));
-        // The deprecated wrapper still works for in-range splits.
-        #[allow(deprecated)]
-        let (legacy_train, _) = scaled.split(2);
-        assert_eq!(legacy_train.len(), 2);
     }
 
     #[test]

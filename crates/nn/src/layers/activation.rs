@@ -29,13 +29,18 @@ impl Relu {
     pub fn backward(&self, x: &Array3, grad_output: &Array3) -> Array3 {
         assert_eq!(x.shape(), grad_output.shape(), "relu shapes must match");
         let (d0, d1, d2) = x.shape();
-        Array3::from_fn(d0, d1, d2, |i, j, k| {
-            if x[(i, j, k)] > 0.0 {
-                grad_output[(i, j, k)]
-            } else {
-                0.0
+        let mut grad_input = Array3::zeros(d0, d1, d2);
+        for ((gi, &xi), &g) in grad_input
+            .as_mut_slice()
+            .iter_mut()
+            .zip(x.iter())
+            .zip(grad_output.iter())
+        {
+            if xi > 0.0 {
+                *gi = g;
             }
-        })
+        }
+        grad_input
     }
 
     /// Forward pass over a flat vector.
@@ -89,6 +94,9 @@ mod tests {
     fn vec_variants_match_map_variants() {
         let vals = [-1.5, 0.0, 0.5, 2.0];
         let x = Array3::from_vec(1, 1, 4, vals.to_vec()).unwrap();
-        assert_eq!(Relu.forward(&x).as_slice(), Relu.forward_vec(&vals).as_slice());
+        assert_eq!(
+            Relu.forward(&x).as_slice(),
+            Relu.forward_vec(&vals).as_slice()
+        );
     }
 }

@@ -136,11 +136,13 @@ impl Conv2d {
         ))
     }
 
-    fn weight(&self, o: usize, c: usize, kh: usize, kw: usize) -> f64 {
-        self.weights[((o * self.in_channels + c) * self.kernel + kh) * self.kernel + kw]
-    }
-
     /// Forward pass.
+    ///
+    /// Output channels run in groups of four through a per-call
+    /// transposed weight copy, `[group][c][kh][kw]` of `[f64; 4]` lanes
+    /// (the channel count is padded to whole groups and padded lanes are
+    /// dropped), with four output positions in flight. Every output is
+    /// still `bias + Σ w·x` summed over `c, kh, kw` in that order.
     ///
     /// # Errors
     ///
@@ -155,21 +157,53 @@ impl Conv2d {
             });
         }
         let (oh, ow) = self.output_size(h, w)?;
+        let taps = self.in_channels * self.kernel * self.kernel;
+        let groups = self.out_channels.div_ceil(LANES);
+        let mut weights = vec![[0.0; LANES]; groups * taps];
+        let mut bias = vec![[0.0; LANES]; groups];
+        for (o, (wo, &b)) in self.weights.chunks_exact(taps).zip(&self.bias).enumerate() {
+            let (g, lane) = (o / LANES, o % LANES);
+            bias[g][lane] = b;
+            for (wt, &v) in weights[g * taps..][..taps].iter_mut().zip(wo) {
+                wt[lane] = v;
+            }
+        }
+        // Offset of each output position's window within an input plane.
+        let starts: Vec<usize> = (0..oh)
+            .flat_map(|i| (0..ow).map(move |j| (i * w + j) * self.stride))
+            .collect();
+        let (blocks, tail) = starts.as_chunks::<POSITIONS>();
+        let window = Windows {
+            input: input.as_slice(),
+            plane: h * w,
+            row: w,
+            kernel: self.kernel,
+        };
+
+        let positions = oh * ow;
         let mut out = Array3::zeros(self.out_channels, oh, ow);
-        for o in 0..self.out_channels {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let mut acc = self.bias[o];
-                    for c in 0..self.in_channels {
-                        for kh in 0..self.kernel {
-                            for kw in 0..self.kernel {
-                                acc += self.weight(o, c, kh, kw)
-                                    * input[(c, i * self.stride + kh, j * self.stride + kw)];
-                            }
-                        }
-                    }
-                    out[(o, i, j)] = acc;
+        for (g, (out_g, (wg, &bg))) in out
+            .as_mut_slice()
+            .chunks_mut(LANES * positions)
+            .zip(weights.chunks_exact(taps).zip(&bias))
+            .enumerate()
+        {
+            let lanes = (self.out_channels - g * LANES).min(LANES);
+            let mut put = |p: usize, acc: &[f64; LANES]| {
+                for (lane, &v) in acc[..lanes].iter().enumerate() {
+                    out_g[lane * positions + p] = v;
                 }
+            };
+            for (b, block) in blocks.iter().enumerate() {
+                for (n, acc) in window.dot(block, wg, bg).iter().enumerate() {
+                    put(b * POSITIONS + n, acc);
+                }
+            }
+            for (n, &start) in tail.iter().enumerate() {
+                put(
+                    blocks.len() * POSITIONS + n,
+                    &window.dot(&[start], wg, bg)[0],
+                );
             }
         }
         Ok(out)
@@ -188,6 +222,38 @@ impl Conv2d {
         grad_output: &Array3,
     ) -> Result<(Array3, Vec<f64>), NnError> {
         let (ch, h, w) = input.shape();
+        let mut grad_input = Array3::zeros(ch, h, w);
+        let grad = self.accumulate::<true>(input, grad_output, grad_input.as_mut_slice())?;
+        Ok((grad_input, grad))
+    }
+
+    /// Backward pass for the parameters only, for callers that discard
+    /// the input gradient (the first layer of a network). Returns the
+    /// same `grad_params` as [`Conv2d::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] if `grad_output`'s shape is not
+    /// the forward output shape for `input`.
+    pub fn backward_params(
+        &self,
+        input: &Array3,
+        grad_output: &Array3,
+    ) -> Result<Vec<f64>, NnError> {
+        self.accumulate::<false>(input, grad_output, &mut [])
+    }
+
+    /// Accumulates the parameter gradient (returned) and, when `INPUT`,
+    /// the input gradient into `grad_input`. Loops run `o, i, j`
+    /// outermost and skip exact-zero output gradients, so every
+    /// accumulator receives its terms in the plain loop's order.
+    fn accumulate<const INPUT: bool>(
+        &self,
+        input: &Array3,
+        grad_output: &Array3,
+        grad_input: &mut [f64],
+    ) -> Result<Vec<f64>, NnError> {
+        let (ch, h, w) = input.shape();
         let (oh, ow) = self.output_size(h, w)?;
         if grad_output.shape() != (self.out_channels, oh, ow) || ch != self.in_channels {
             return Err(NnError::ShapeMismatch {
@@ -195,27 +261,37 @@ impl Conv2d {
                 actual: format!("{:?}", grad_output.shape()),
             });
         }
-        let mut grad_input = Array3::zeros(ch, h, w);
+        let (k, plane) = (self.kernel, h * w);
+        let taps = self.in_channels * k * k;
+        let x = input.as_slice();
         let mut grad_w = vec![0.0; self.weights.len()];
         let mut grad_b = vec![0.0; self.bias.len()];
-
-        for o in 0..self.out_channels {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let g = grad_output[(o, i, j)];
+        for (((go, gw), gb), wo) in grad_output
+            .as_slice()
+            .chunks_exact(oh * ow)
+            .zip(grad_w.chunks_exact_mut(taps))
+            .zip(&mut grad_b)
+            .zip(self.weights.chunks_exact(taps))
+        {
+            for (i, go_row) in go.chunks_exact(ow).enumerate() {
+                for (j, &g) in go_row.iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
-                    grad_b[o] += g;
+                    *gb += g;
+                    let start = (i * w + j) * self.stride;
                     for c in 0..self.in_channels {
-                        for kh in 0..self.kernel {
-                            for kw in 0..self.kernel {
-                                let (p, q) = (i * self.stride + kh, j * self.stride + kw);
-                                let widx = ((o * self.in_channels + c) * self.kernel + kh)
-                                    * self.kernel
-                                    + kw;
-                                grad_w[widx] += g * input[(c, p, q)];
-                                grad_input[(c, p, q)] += g * self.weights[widx];
+                        for kh in 0..k {
+                            let at = c * plane + start + kh * w;
+                            let tap = (c * k + kh) * k;
+                            for (gwv, &xv) in gw[tap..][..k].iter_mut().zip(&x[at..][..k]) {
+                                *gwv += g * xv;
+                            }
+                            if INPUT {
+                                let gi = &mut grad_input[at..][..k];
+                                for (giv, &wv) in gi.iter_mut().zip(&wo[tap..][..k]) {
+                                    *giv += g * wv;
+                                }
                             }
                         }
                     }
@@ -223,7 +299,55 @@ impl Conv2d {
             }
         }
         grad_w.extend_from_slice(&grad_b);
-        Ok((grad_input, grad_w))
+        Ok(grad_w)
+    }
+}
+
+/// Output channels per lane group of the forward kernel.
+const LANES: usize = 4;
+
+/// Output positions the forward kernel keeps in flight.
+const POSITIONS: usize = 4;
+
+/// A `(channels, height, width)` input as the forward kernel reads it.
+struct Windows<'a> {
+    input: &'a [f64],
+    plane: usize,
+    row: usize,
+    kernel: usize,
+}
+
+impl Windows<'_> {
+    /// `bias + Σ w·x` over `c, kh, kw` for the `N` windows starting at
+    /// `starts`, one lane per output channel of a group.
+    #[inline(always)]
+    fn dot<const N: usize>(
+        &self,
+        starts: &[usize; N],
+        weights: &[[f64; LANES]],
+        bias: [f64; LANES],
+    ) -> [[f64; LANES]; N] {
+        let k = self.kernel;
+        let mut acc = [bias; N];
+        for (xc, wc) in self
+            .input
+            .chunks_exact(self.plane)
+            .zip(weights.chunks_exact(k * k))
+        {
+            for (kh, wrow) in wc.chunks_exact(k).enumerate() {
+                let rows: [&[f64]; N] =
+                    std::array::from_fn(|n| &xc[starts[n] + kh * self.row..][..k]);
+                for (kw, wv) in wrow.iter().enumerate() {
+                    for (a, r) in acc.iter_mut().zip(&rows) {
+                        let xv = r[kw];
+                        for (al, &wl) in a.iter_mut().zip(wv) {
+                            *al += wl * xv;
+                        }
+                    }
+                }
+            }
+        }
+        acc
     }
 }
 
@@ -286,7 +410,9 @@ mod tests {
     #[test]
     fn backward_gradients_match_finite_difference() {
         let conv = Conv2d::new(2, 3, 3, 2, 42).unwrap();
-        let x = Array3::from_fn(2, 7, 7, |c, i, j| ((c * 49 + i * 7 + j) % 13) as f64 * 0.1 - 0.6);
+        let x = Array3::from_fn(2, 7, 7, |c, i, j| {
+            ((c * 49 + i * 7 + j) % 13) as f64 * 0.1 - 0.6
+        });
         let y = conv.forward(&x).unwrap();
         // Scalar loss: sum of squares of outputs.
         let grad_out = y.map(|v| 2.0 * v);

@@ -123,7 +123,10 @@ impl CnnRegressor {
     pub fn new(config: RegressorConfig, seed: u64) -> Result<Self, NnError> {
         if config.input_side < 5 {
             return Err(NnError::InvalidLayer {
-                reason: format!("input side {} too small for two 3x3 convs", config.input_side),
+                reason: format!(
+                    "input side {} too small for two 3x3 convs",
+                    config.input_side
+                ),
             });
         }
         let conv1 = Conv2d::new(1, config.conv1_channels, 3, 1, seed)?;
@@ -202,7 +205,7 @@ impl CnnRegressor {
         let grad_z2 = Relu.backward(&z2, &grad_a2);
         let (grad_a1, grad_conv2) = self.conv2.backward(&a1, &grad_z2)?;
         let grad_z1 = Relu.backward(&z1, &grad_a1);
-        let (_, grad_conv1) = self.conv1.backward(&x0, &grad_z1)?;
+        let grad_conv1 = self.conv1.backward_params(&x0, &grad_z1)?;
 
         let mut grad = grad_conv1;
         grad.extend(grad_conv2);
@@ -382,7 +385,7 @@ impl CnnCompressor {
         let grad_z2 = Relu.backward(&z2, &grad_a2);
         let (grad_a1, grad_conv2) = self.conv2.backward(&a1, &grad_z2)?;
         let grad_z1 = Relu.backward(&z1, &grad_a1);
-        let (_, grad_conv1) = self.conv1.backward(&x0, &grad_z1)?;
+        let grad_conv1 = self.conv1.backward_params(&x0, &grad_z1)?;
 
         let mut grad = grad_conv1;
         grad.extend(grad_conv2);
@@ -463,7 +466,9 @@ mod tests {
     #[test]
     fn regressor_gradient_matches_finite_difference() {
         let model = CnnRegressor::new(RegressorConfig::layer_wise(), 9).unwrap();
-        let input: Vec<f64> = (0..256).map(|i| ((i * 37) % 19) as f64 * 0.05 - 0.4).collect();
+        let input: Vec<f64> = (0..256)
+            .map(|i| ((i * 37) % 19) as f64 * 0.05 - 0.4)
+            .collect();
         let target = vec![0.3; 8];
         let (_, grad) = model.loss_and_grad(&input, &target).unwrap();
 

@@ -8,7 +8,7 @@
 #   ./scripts/verify.sh bench-smoke  # gradient-engine smoke gate only
 #   ./scripts/verify.sh serve-smoke  # serving-layer smoke gate only
 #   ./scripts/verify.sh compiler-smoke  # structure/bind + pass-pipeline gate only
-#   ./scripts/verify.sh kernel-smoke # SIMD/scalar + FDTD differential + throughput gate only
+#   ./scripts/verify.sh kernel-smoke # SIMD/scalar + FDTD + Conv2d differential + throughput gate only
 #   ./scripts/verify.sh chaos-smoke  # fault-injection / recovery gate only
 #   ./scripts/verify.sh train-smoke  # data-parallel determinism gate only
 #
@@ -100,7 +100,10 @@ compiler_smoke() {
 # with QUGEO_SIMD=off (scalar tier vs references) and once with the
 # default runtime dispatch (AVX2/AVX-512 where detected) — then the FDTD
 # row kernel's differential suite (dispatched and portable bodies
-# bit-identical to the frozen per-cell reference loop), then a 1-rep
+# bit-identical to the frozen per-cell reference loop), then the Conv2d
+# kernels' differential suite (forward, backward, params-only backward
+# and the Q-D-CNN compressor bit-identical to the frozen original
+# loops), then a 1-rep
 # kernel_throughput smoke run, whose built-in differential asserts the
 # scalar and SIMD tiers agree to 1e-12 on forward amplitudes, values and
 # gradients. The JSON goes to a scratch path so a smoke run never
@@ -112,6 +115,8 @@ kernel_smoke() {
     cargo test -q --release -p qugeo-qsim --test simd_differential
     echo "==> cargo test --release --test kernel_differential (FDTD row kernel)"
     cargo test -q --release -p qugeo-wavesim --test kernel_differential
+    echo "==> cargo test --release --test conv_differential (Conv2d kernels)"
+    cargo test -q --release -p qugeo-nn --test conv_differential
     echo "==> kernel_throughput --smoke"
     cargo run --release --quiet -p qugeo-bench --bin kernel_throughput -- \
         --smoke --json target/BENCH_kernel.smoke.json
